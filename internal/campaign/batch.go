@@ -133,7 +133,8 @@ type BatchReplayer struct {
 	FastForward uint64
 }
 
-// pulledSpec is one plan entry drained for cycle clustering.
+// pulledSpec is one plan entry drained from a producer: for cycle
+// clustering (batch, cursor) or as part of a pool job.
 type pulledSpec struct {
 	idx  int
 	spec fault.Spec
@@ -167,6 +168,17 @@ func NewBatchReplayer(g *Golden, cfg Config, gold, scalar Simulator) *BatchRepla
 
 // Close detaches the lane tracker from the golden instance.
 func (r *BatchReplayer) Close() { r.lanes.Detach() }
+
+// stats reports the lockstep counters and, under the cursor schedule
+// (where the golden instance walks forward between groups), the
+// fast-forward spend.
+func (r *BatchReplayer) stats() ReplayStats {
+	s := ReplayStats{Batched: r.Batched, Peeled: r.Peeled, Groups: r.Groups, LaneSum: r.LaneSum}
+	if r.cfg.Sched == SchedCursor {
+		s.FastForward, s.Cursor = r.FastForward, true
+	}
+	return s
+}
 
 // Replay drains the plan through the batch engine: it pulls up to
 // Lanes*batchPull specs from next, sorts them by injection instant,

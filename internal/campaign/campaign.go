@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/lifetime"
-	"repro/internal/obs"
 	"repro/internal/protect"
 	"repro/internal/refsim"
 	"repro/internal/stats"
@@ -815,8 +814,9 @@ func (p *lazyPlan) overheadOutcome(spec fault.Spec) (RunOutcome, bool) {
 // classified as a hang.
 func (g *Golden) hangBudget() uint64 { return g.Cycles*2 + 50_000 }
 
-// goldenOptionsFor derives the golden-artifact options one standalone
-// campaign needs.
+// goldenOptionsFor derives the golden-artifact options one campaign
+// needs — the single rule behind Run's golden run, a sweep group's (the
+// union over its members) and a distributed worker's local copy.
 func goldenOptionsFor(cfg Config) GoldenOptions {
 	opts := GoldenOptions{
 		SnapshotEvery: cfg.SnapshotEvery,
@@ -830,10 +830,23 @@ func goldenOptionsFor(cfg Config) GoldenOptions {
 	return opts
 }
 
+// union adds b's artifact needs (timeline, state hashes, lifetime trace)
+// to o, keeping o's snapshot schedule. Recording is pure observation, so
+// a golden run recorded with the union serves both campaigns.
+func (o GoldenOptions) union(b GoldenOptions) GoldenOptions {
+	o.Timeline = o.Timeline || b.Timeline
+	o.Lifetime = o.Lifetime || b.Lifetime
+	o.HashEvery = max(o.HashEvery, b.HashEvery)
+	return o
+}
+
 // Run executes one standalone campaign: golden-artifact phase, fault
 // plan, replay/classify phase on a private worker pool, aggregation.
-// Sweep runs many campaigns over shared goldens and one global pool;
-// both produce bit-identical Outcomes for the same factory and config.
+// It is the one-campaign case of Sweep's plan → pool → aggregate path:
+// the same Planned producer/collector pair (a distributed coordinator
+// drives it over HTTP instead), the same executor and engine selector,
+// so both produce bit-identical Outcomes for the same factory and
+// config. Elapsed is the replay phase's wall time.
 func Run(factory Factory, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -846,134 +859,11 @@ func Run(factory Factory, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// --------------------------------------------- streaming replays
-	// The dispatch loop is Planned.NextReplay: specs are generated
-	// lazily, the pruning pre-classifier resolves dead faults and class
-	// members producer-side, and dispatch stops as soon as the in-order
-	// estimator converges; workers stream every outcome back through
-	// Deliver. A distributed coordinator drives this exact pair over
-	// HTTP instead of a channel, which is why sharded results are
-	// byte-identical to this loop's.
-	type job struct {
-		idx  int
-		spec fault.Spec
-	}
-	next := func() (job, bool) {
-		idx, spec, ok := p.NextReplay()
-		return job{idx: idx, spec: spec}, ok
-	}
 	start := time.Now()
-	if batchApplies(g, cfg) {
-		if err := runBatched(factory, g, p, cfg); err != nil {
-			return nil, err
-		}
-		return p.Result(time.Since(start))
-	}
-	if cfg.Sched == SchedCursor {
-		if err := runCursor(factory, g, p, cfg); err != nil {
-			return nil, err
-		}
-		return p.Result(time.Since(start))
-	}
-	err = streamJobs(cfg.Workers, next, func(_ int, jobs <-chan job) error {
-		sim, err := factory()
-		if err != nil {
-			return err
-		}
-		var buf replayBuf
-		for j := range jobs {
-			var t0 time.Time
-			if timed := obs.Enabled(); timed {
-				t0 = time.Now()
-			}
-			oc, err := oneRunBuf(sim, g, j.spec, cfg, &buf)
-			if err != nil {
-				return err
-			}
-			if !t0.IsZero() {
-				obsReplayTimed(time.Since(t0))
-			}
-			if err := p.Deliver(j.idx, oc); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if _, err := runPool(cfg.Workers, []*execCampaign{p.exec(factory, cfg.Workers)}, "", nil); err != nil {
 		return nil, err
 	}
 	return p.Result(time.Since(start))
-}
-
-// batchApplies reports whether the bit-parallel replay path can serve
-// this campaign: lanes enabled and the model exposes a lane tracker for
-// the target (probed on the golden instance, detached immediately).
-func batchApplies(g *Golden, cfg Config) bool {
-	if cfg.Lanes <= 1 {
-		return false
-	}
-	bc, ok := g.sim.(BatchCapable)
-	if !ok {
-		return false
-	}
-	ls, ok := bc.BatchLanes(cfg.Target)
-	if !ok {
-		return false
-	}
-	ls.Detach()
-	return true
-}
-
-// runBatched executes the replay phase through per-worker batch
-// replayers, each pulling cycle-clustered lane groups straight from the
-// plan. Outcomes flow through the same Planned collector as the scalar
-// pool — order-agnostic delivery, identical classification — so the
-// result is byte-identical to the scalar path; only throughput changes.
-func runBatched(factory Factory, g *Golden, p *Planned, cfg Config) error {
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			err := func() error {
-				gold, err := factory()
-				if err != nil {
-					return err
-				}
-				scalar, err := factory()
-				if err != nil {
-					return err
-				}
-				br := NewBatchReplayer(g, cfg, gold, scalar)
-				if br == nil {
-					return fmt.Errorf("campaign: batch replay unavailable on a worker instance")
-				}
-				defer br.Close()
-				if err := br.Replay(p.NextReplay, p.Deliver); err != nil {
-					return err
-				}
-				p.noteBatch(br.Batched, br.Peeled, br.Groups, br.LaneSum)
-				if cfg.Sched == SchedCursor {
-					p.noteFastForward(br.FastForward)
-				}
-				return nil
-			}()
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
 }
 
 // seqStop collects streamed replay outcomes and decides the sequential
@@ -1133,8 +1023,8 @@ func (s *seqStop) cut() []RunOutcome {
 // worker error: surviving workers keep draining what was already queued,
 // but nothing new is sent, so the pool terminates even when every worker
 // dies early (the historical all-workers-exit deadlock). Returns the
-// first worker error. Both Run and Sweep pools are built on this; next
-// is only ever called from the dispatch loop, so it may be stateful.
+// first worker error. Sweep's golden phase is built on this; next is
+// only ever called from the dispatch loop, so it may be stateful.
 func streamJobs[T any](workers int, next func() (T, bool), worker func(id int, jobs <-chan T) error) error {
 	var (
 		wg       sync.WaitGroup
@@ -1416,17 +1306,6 @@ func advance(s fault.Spec, timeline map[[2]int][]uint64, sim Simulator) uint64 {
 	return s.Cycle // never accessed again: inject at the sampled instant
 }
 
-// ReplayOne replays a single planned injection against this golden run
-// and classifies it — the public entry to the engine's hottest path,
-// used by probe tooling and benchmarks. sim must come from the same
-// factory as the golden run.
-func (g *Golden) ReplayOne(sim Simulator, spec fault.Spec, cfg Config) (RunOutcome, error) {
-	if err := cfg.validate(); err != nil {
-		return RunOutcome{}, err
-	}
-	return oneRun(sim, g, spec, cfg)
-}
-
 // replayBuf is per-worker scratch reused across replays: the faulty
 // pinout capture grows once to the longest replay's size and is reset
 // in place afterwards, keeping the hot loop allocation-free.
@@ -1434,40 +1313,11 @@ type replayBuf struct {
 	pin trace.Pinout
 }
 
-// oneRun replays a single faulty simulation and classifies it with
-// private scratch (probe/benchmark path; campaign workers reuse a
-// per-worker buffer through oneRunBuf).
-func oneRun(sim Simulator, g *Golden, spec fault.Spec, cfg Config) (RunOutcome, error) {
-	var buf replayBuf
-	return oneRunBuf(sim, g, spec, cfg, &buf)
-}
-
-// oneRunBuf replays a single faulty simulation and classifies it.
-func oneRunBuf(sim Simulator, g *Golden, spec fault.Spec, cfg Config, buf *replayBuf) (RunOutcome, error) {
-	base := nearestSnap(g.snaps, spec.Cycle)
-	sim.Restore(base.snap)
-	pin := &buf.pin
-	pin.Reset()
-	sim.SetPinout(pin)
-
-	// Replay up to the injection instant (identical to golden).
-	for sim.Cycles() < spec.Cycle {
-		if !sim.Step() {
-			return RunOutcome{}, fmt.Errorf("campaign: replay stopped at %d before injection at %d (%v)",
-				sim.Cycles(), spec.Cycle, sim.StopReason())
-		}
-	}
-	if err := applyFault(sim, spec); err != nil {
-		return RunOutcome{}, err
-	}
-	return finishRun(sim, g, spec, cfg, base.cycle, pin)
-}
-
 // finishRun simulates the remaining observation window of a faulty
 // replay and classifies it. The simulator must already sit at or past
 // the injection instant with the fault's state applied and pin attached
 // holding the transactions emitted since baseCycle — either because
-// oneRunBuf just injected it, or because a lane peeled out of a
+// the scalar engine just injected it, or because a lane peeled out of a
 // lockstep batch was rebuilt there (golden snapshot + lane diff + the
 // golden transaction prefix the unpeeled lane shared). Both callers
 // run the identical tail, which is what keeps batched classifications

@@ -20,7 +20,6 @@ package campaign
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/fault"
 )
@@ -128,11 +127,6 @@ type LiveSnapshotter interface {
 // whole plan to one worker.
 const cursorPull = 512
 
-type cursorSpec struct {
-	idx  int
-	spec fault.Spec
-}
-
 // CursorReplayer executes replays in injection-cycle order off a
 // monotonic golden cursor. It mirrors BatchReplayer's pull interface:
 // Replay drains a producer (Planned.NextReplay or a shard iterator) and
@@ -147,7 +141,7 @@ type CursorReplayer struct {
 	cursor Simulator
 	replay Simulator
 	buf    replayBuf
-	pend   []cursorSpec
+	pend   []pulledSpec
 	onPath bool // cursor state lies on the golden timeline at its Cycles()
 
 	// Stop, when set, is polled between replays: once it reports true
@@ -188,7 +182,7 @@ func (r *CursorReplayer) Replay(next func() (int, fault.Spec, bool), deliver fun
 			if !ok {
 				break
 			}
-			r.pend = append(r.pend, cursorSpec{idx: idx, spec: spec})
+			r.pend = append(r.pend, pulledSpec{idx: idx, spec: spec})
 		}
 		if len(r.pend) == 0 {
 			return nil
@@ -217,9 +211,9 @@ func (r *CursorReplayer) Replay(next func() (int, fault.Spec, bool), deliver fun
 }
 
 // one replays a single injection off the cursor. The replay simulator
-// ends up in exactly the state oneRunBuf's restore-and-fast-forward
-// produces — golden at the injection instant, pinout seeded with the
-// golden transactions since the nearest snapshot — so finishRun's
+// ends up in exactly the state the scalar engine's restore and
+// fast-forward produce — golden at the injection instant, pinout seeded
+// with the golden transactions since the nearest snapshot — so finishRun's
 // classification (window compare base, convergence hash scan, end
 // cycle) is byte-identical to stream order.
 func (r *CursorReplayer) one(spec fault.Spec) (RunOutcome, error) {
@@ -276,47 +270,6 @@ func (r *CursorReplayer) one(spec fault.Spec) (RunOutcome, error) {
 	return finishRun(r.replay, r.g, spec, r.cfg, base.cycle, pin)
 }
 
-// runCursor executes the replay phase through per-worker cursor
-// replayers, the SchedCursor counterpart of runBatched. Outcomes flow
-// through the same Planned collector as the scalar pool — order-
-// agnostic delivery, in-order consumption — so the result is
-// byte-identical to stream order; only throughput changes.
-func runCursor(factory Factory, g *Golden, p *Planned, cfg Config) error {
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			err := func() error {
-				cursor, err := factory()
-				if err != nil {
-					return err
-				}
-				replay, err := factory()
-				if err != nil {
-					return err
-				}
-				cr := NewCursorReplayer(g, cfg, cursor, replay)
-				cr.Stop = p.Stopped
-				if err := cr.Replay(p.NextReplay, p.Deliver); err != nil {
-					return err
-				}
-				p.noteFastForward(cr.FastForward)
-				return nil
-			}()
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
+func (r *CursorReplayer) stats() ReplayStats {
+	return ReplayStats{FastForward: r.FastForward, Cursor: true}
 }

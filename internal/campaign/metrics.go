@@ -7,17 +7,13 @@ package campaign
 // All mutators self-gate on obs.Enabled(); with the gate off the only
 // hot-path cost is one atomic load per event.
 
-import (
-	"time"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 var (
 	obsReplaySeconds = obs.NewHistogram("campaign_replay_seconds",
-		"wall time per replayed injection (scalar paths)", obs.DurationBuckets)
+		"wall time per replayed injection (scalar engine)", obs.DurationBuckets)
 	obsBusySeconds = obs.NewGauge("campaign_pool_busy_seconds",
-		"cumulative worker-pool busy time spent replaying (seconds); busy fraction = rate of this over workers")
+		"cumulative worker-pool busy time spent replaying on any engine (seconds); busy fraction = rate of this over workers")
 	obsReplays = obs.NewCounter("campaign_replays_total",
 		"injections actually replayed (pruned/extrapolated/overhead synthetics excluded)")
 	obsConverged = obs.NewCounter("campaign_converged_total",
@@ -82,15 +78,3 @@ func obsNoteOutcome(oc RunOutcome) {
 		c.Inc()
 	}
 }
-
-// obsReplayTimed records one scalar replay's wall time as both a
-// latency observation and pool busy time.
-func obsReplayTimed(d time.Duration) {
-	s := d.Seconds()
-	obsReplaySeconds.Observe(s)
-	obsBusySeconds.Add(s)
-}
-
-// obsBusy attributes a chunk of pool busy time (batch/cursor chunks,
-// where per-replay latency is not individually meaningful).
-func obsBusy(d time.Duration) { obsBusySeconds.Add(d.Seconds()) }

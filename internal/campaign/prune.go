@@ -302,20 +302,6 @@ type idxOutcome struct {
 	oc  RunOutcome
 }
 
-// deliverReplay routes one replayed outcome through the collector:
-// class weight stamped, representative delivered, extrapolated members
-// fanned out. It returns the stamped outcome — the form checkpoint
-// records persist. Sweep's workers and Planned.Deliver share it so the
-// fanout invariant has exactly one owner.
-func deliverReplay(p *pruner, seq *seqStop, idx int, oc RunOutcome) RunOutcome {
-	members := p.afterReplay(idx, &oc)
-	seq.deliver(idx, oc)
-	for _, m := range members {
-		seq.deliver(m.idx, m.oc)
-	}
-	return oc
-}
-
 // resumedFanout re-delivers member outcomes for representatives that
 // were restored from checkpoint shards instead of replayed (shards
 // record representatives only; extrapolation is re-derived).

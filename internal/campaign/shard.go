@@ -50,6 +50,7 @@ type Planned struct {
 	mu  sync.Mutex
 	cfg Config
 	g   *Golden
+	fp  uint64 // g.fingerprint(), stamped into checkpoint records
 	pl  *lazyPlan
 	seq *seqStop
 	pr  *pruner
@@ -61,19 +62,11 @@ type Planned struct {
 	// computed at plan time (zero replays).
 	avfInfo *AVFInfo
 
-	// Bit-parallel replay accounting, summed over every worker's
-	// BatchReplayer via noteBatch.
-	batched, peeled, groups, laneSum int
+	// Replay accounting the executor's workers fold in (see fold).
+	stats ReplayStats
 
-	// Cursor-schedule accounting: golden fast-forward cycles the
-	// workers' cursors actually stepped, summed via noteFastForward.
-	// ffNoted marks that a cursor executed (so Result reports actual
-	// spend and the stream-order delta instead of the stream cost).
-	ffActual uint64
-	ffNoted  bool
-
+	key      string // checkpoint key: the sweep key or OpenCheckpoint's
 	ckpt     *shardWriter
-	ckptKey  string
 	resumed  int
 	finished bool
 }
@@ -106,7 +99,7 @@ func (g *Golden) PlanCampaign(cfg Config) (*Planned, error) {
 			seedAVFPrior(seq, info, cfg)
 		}
 	}
-	return &Planned{cfg: cfg, g: g, pl: pl, seq: seq, pr: pr, stopHint: -1, avfInfo: info}, nil
+	return &Planned{cfg: cfg, g: g, fp: g.fingerprint(), pl: pl, seq: seq, pr: pr, stopHint: -1, avfInfo: info}, nil
 }
 
 // Config returns the validated campaign config (defaults filled).
@@ -117,7 +110,7 @@ func (p *Planned) Injections() int { return p.pl.n }
 
 // GoldenFingerprint returns the backing golden run's fingerprint — the
 // value a shard carries so remote workers can verify golden identity.
-func (p *Planned) GoldenFingerprint() uint64 { return p.g.fingerprint() }
+func (p *Planned) GoldenFingerprint() uint64 { return p.fp }
 
 // Spec returns planned injection i — the coordinator's source of truth
 // when rebuilding a remote outcome for delivery.
@@ -171,15 +164,31 @@ func (p *Planned) NextReplay() (idx int, spec fault.Spec, ok bool) {
 // representative's outcome over its equivalence class, the sequential
 // collector consumes everything in plan order, and — when a checkpoint
 // is attached — the replayed outcome is streamed to its shard exactly
-// as Sweep's workers stream theirs. Duplicate deliveries of one index
+// as a sweep's pool workers stream theirs. Duplicate deliveries of one index
 // are ignored, so a re-issued lease whose original worker was merely
 // slow (not dead) stays harmless.
-func (p *Planned) Deliver(idx int, oc RunOutcome) error {
-	oc = deliverReplay(p.pr, p.seq, idx, oc)
+func (p *Planned) Deliver(idx int, oc RunOutcome) error { return p.deliver(nil, idx, oc) }
+
+// deliver is Deliver streaming to ckpt — a sweep pool worker's shard —
+// when given one, else to the campaign's own attached checkpoint.
+func (p *Planned) deliver(ckpt *shardWriter, idx int, oc RunOutcome) error {
+	// Stamp the class weight, deliver the representative and fan its
+	// outcome out over the extrapolated members; only the stamped
+	// representative reaches the shard (extrapolation is re-derived on
+	// resume). Every engine's outcomes pass here, so the fanout
+	// invariant has exactly one owner.
+	members := p.pr.afterReplay(idx, &oc)
+	p.seq.deliver(idx, oc)
+	for _, m := range members {
+		p.seq.deliver(m.idx, m.oc)
+	}
+	if ckpt != nil {
+		return ckpt.write(p.key, idx, oc, p.cfg, p.fp)
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.ckpt != nil {
-		return p.ckpt.write(p.ckptKey, idx, oc, p.cfg, p.g.fingerprint())
+		return p.ckpt.write(p.key, idx, oc, p.cfg, p.fp)
 	}
 	return nil
 }
@@ -205,26 +214,21 @@ func (p *Planned) Resumed() int {
 	return p.resumed
 }
 
-// noteBatch folds one worker's bit-parallel replay accounting into the
-// campaign: batched lockstep retirements, scalar peels, and the group
-// count/lane sum behind the mean occupancy Result reports.
-func (p *Planned) noteBatch(batched, peeled, groups, laneSum int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.batched += batched
-	p.peeled += peeled
-	p.groups += groups
-	p.laneSum += laneSum
+// exec binds the campaign to the replay pool of the given width: its
+// producer, collector and stop flag feed the executor, and fold is the
+// accounting sink.
+func (p *Planned) exec(factory Factory, workers int) *execCampaign {
+	c := newExecCampaign(p.g, p.cfg, factory, p.pl.n, workers)
+	c.label, c.next, c.deliver, c.stop, c.fold = p.key, p.NextReplay, p.deliver, p.Stopped, p.fold
+	return c
 }
 
-// noteFastForward folds one cursor replayer's golden fast-forward
-// spend into the campaign. Result then reports the actual cycles
-// stepped and credits the difference from stream order as saved.
-func (p *Planned) noteFastForward(actual uint64) {
+// fold adds one worker's replay accounting to the campaign — the one
+// method every engine's counters reach a campaign through.
+func (p *Planned) fold(s ReplayStats) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.ffActual += actual
-	p.ffNoted = true
+	p.stats.add(s)
 }
 
 // Result aggregates the campaign once every needed outcome has been
@@ -235,23 +239,23 @@ func (p *Planned) Result(elapsed time.Duration) (*Result, error) {
 		return nil, err
 	}
 	p.mu.Lock()
-	res.BatchedRuns = p.batched
-	res.PeeledRuns = p.peeled
-	if p.groups > 0 {
-		res.LaneOccupancy = float64(p.laneSum) / float64(p.groups)
+	defer p.mu.Unlock()
+	s := p.stats
+	res.BatchedRuns, res.PeeledRuns = s.Batched, s.Peeled
+	if s.Groups > 0 {
+		res.LaneOccupancy = float64(s.LaneSum) / float64(s.Groups)
 	}
-	if p.ffNoted {
+	if s.Cursor {
 		// aggregate filled FastForwardCycles with the stream-order
 		// cost; swap in what the cursors actually stepped. A cursor
 		// may overshoot the counted prefix (stop-decision races), so
 		// the saving is clamped at zero.
-		if stream := res.FastForwardCycles; stream > p.ffActual {
-			res.FastForwardSaved = stream - p.ffActual
+		if stream := res.FastForwardCycles; stream > s.FastForward {
+			res.FastForwardSaved = stream - s.FastForward
 		}
-		res.FastForwardCycles = p.ffActual
+		res.FastForwardCycles = s.FastForward
 	}
 	res.AVF = p.avfInfo
-	p.mu.Unlock()
 	return res, nil
 }
 
@@ -267,18 +271,17 @@ func (p *Planned) OpenCheckpoint(dir, key string) error {
 	if p.ckpt != nil {
 		return fmt.Errorf("campaign: checkpoint already open")
 	}
-	n, err := loadCampaignCheckpoints(dir, key, p.cfg, p.pl, p.g.fingerprint(), p.seq, &p.stopHint)
+	p.key = key
+	n, err := loadCheckpoints(dir, []*Planned{p})
 	if err != nil {
 		return err
 	}
 	p.resumed = n
-	p.pr.resumedFanout(p.seq)
 	w, err := newShardWriter(dir, sanitizeShardName(key))
 	if err != nil {
 		return err
 	}
 	p.ckpt = w
-	p.ckptKey = key
 	return nil
 }
 
@@ -294,8 +297,8 @@ func (p *Planned) CloseCheckpoint() error {
 	}
 	w := p.ckpt
 	p.ckpt = nil
-	if s := p.seq.stopIndex(); s > 0 && s != p.stopHint {
-		if err := w.encode(stopRecord(p.ckptKey, s, p.cfg, p.pl.spec(s-1), p.g.fingerprint())); err != nil {
+	if r, ok := p.stopRecord(); ok {
+		if err := w.encode(r); err != nil {
 			w.close()
 			return err
 		}

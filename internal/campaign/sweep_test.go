@@ -22,14 +22,9 @@ type mockSim struct {
 	cycles uint64
 	limit  uint64
 	stop   refsim.StopReason
-	broken bool // Step fails immediately (replay-error injection)
 }
 
 func (s *mockSim) Step() bool {
-	if s.broken {
-		s.stop = refsim.StopFault
-		return false
-	}
 	s.cycles++
 	if s.cycles >= s.limit {
 		s.stop = refsim.StopExit
@@ -112,40 +107,91 @@ func TestAllWorkerFactoriesFailNoDeadlock(t *testing.T) {
 	}
 }
 
-func TestAllWorkersReplayErrorNoDeadlock(t *testing.T) {
-	// Every replay instance breaks on its first Step, so every worker
-	// exits early through the oneRun error path.
-	var calls int32
-	factory := func() (campaign.Simulator, error) {
-		broken := atomic.AddInt32(&calls, 1) > 1
-		return &mockSim{limit: 100, broken: broken}, nil
+// breakable wraps a simulator whose Step fails once broken is set —
+// replay-error injection on any model — forwarding its batch surface so
+// the bit-parallel engine still applies.
+type breakable struct {
+	campaign.Simulator
+	broken bool
+}
+
+func (s *breakable) Step() bool { return !s.broken && s.Simulator.Step() }
+
+func (s *breakable) BatchLanes(t fault.Target) (campaign.LaneSet, bool) {
+	if bc, ok := s.Simulator.(campaign.BatchCapable); ok {
+		return bc.BatchLanes(t)
 	}
-	err := runWithTimeout(t, factory, errCfg())
-	if err == nil || !strings.Contains(err.Error(), "replay stopped") {
-		t.Fatalf("want replay error, got %v", err)
+	return nil, false
+}
+
+// brokenWorkers wraps base so its first instance (the golden run) works
+// and every later one (the workers') breaks on its first Step.
+func brokenWorkers(base campaign.Factory) campaign.Factory {
+	var calls int32
+	return func() (campaign.Simulator, error) {
+		sim, err := base()
+		if err != nil {
+			return nil, err
+		}
+		return &breakable{Simulator: sim, broken: atomic.AddInt32(&calls, 1) > 1}, nil
+	}
+}
+
+// replayErrorCases break every worker instance on its first Step under
+// each replay engine — scalar, cursor and bit-parallel — so every
+// worker exits early through that engine's error path.
+func replayErrorCases(t *testing.T) []struct {
+	name    string
+	factory campaign.Factory
+	cfg     campaign.Config
+	want    string
+} {
+	mock := func() (campaign.Simulator, error) { return &mockSim{limit: 100}, nil }
+	cursor, batch := errCfg(), errCfg()
+	cursor.Sched = campaign.SchedCursor
+	batch.Lanes = 8
+	return []struct {
+		name    string
+		factory campaign.Factory
+		cfg     campaign.Config
+		want    string
+	}{
+		{"scalar", brokenWorkers(mock), errCfg(), "replay stopped"},
+		{"cursor", brokenWorkers(mock), cursor, "cursor stopped"},
+		{"rtl-batch", brokenWorkers(factoryFor(t, "qsort", core.ModelRTL)), batch, "replay stopped"},
+	}
+}
+
+func TestAllWorkersReplayErrorNoDeadlock(t *testing.T) {
+	for _, tc := range replayErrorCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			err := runWithTimeout(t, tc.factory, tc.cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("want %q error, got %v", tc.want, err)
+			}
+		})
 	}
 }
 
 func TestSweepWorkerErrorNoDeadlock(t *testing.T) {
-	var calls int32
-	factory := func() (campaign.Simulator, error) {
-		broken := atomic.AddInt32(&calls, 1) > 1
-		return &mockSim{limit: 100, broken: broken}, nil
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := campaign.Sweep([]campaign.SweepCampaign{
-			{Key: "a", Group: "mock", Factory: factory, Config: errCfg()},
-		}, campaign.SweepOptions{Workers: 4})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "replay stopped") {
-			t.Fatalf("want replay error, got %v", err)
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("Sweep did not terminate (worker-pool deadlock)")
+	for _, tc := range replayErrorCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			done := make(chan error, 1)
+			go func() {
+				_, err := campaign.Sweep([]campaign.SweepCampaign{
+					{Key: "a", Group: "g", Factory: tc.factory, Config: tc.cfg},
+				}, campaign.SweepOptions{Workers: 4})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("want %q error, got %v", tc.want, err)
+				}
+			case <-time.After(60 * time.Second):
+				t.Fatal("Sweep did not terminate (worker-pool deadlock)")
+			}
+		})
 	}
 }
 

@@ -144,7 +144,9 @@ func TestBatchMatchesScalarComposed(t *testing.T) {
 // acceptance: routing Sweep's shared worker pool through per-worker
 // BatchReplayers (Lanes=64) must reproduce the scalar sweep byte for
 // byte — same outcome streams, counts and unsafeness for every
-// campaign — while actually batching the lane-capable targets.
+// campaign — while actually batching the lane-capable targets. A
+// microarch campaign switched to the cursor schedule rides the same
+// pool, so one pool interleaves all three engines.
 func TestBatchSweepMatchesScalarSweep(t *testing.T) {
 	w, err := bench.ByName("qsort")
 	if err != nil {
@@ -155,7 +157,12 @@ func TestBatchSweepMatchesScalarSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := Factory(ModelRTL, p, CampaignSetup())
+	ma := Factory(ModelMicroarch, p, CampaignSetup())
 	matrix := func(lanes int) []campaign.SweepCampaign {
+		sched := campaign.SchedStream
+		if lanes > 1 {
+			sched = campaign.SchedCursor
+		}
 		return []campaign.SweepCampaign{
 			{
 				Key: "rf", Group: "rtl/qsort", Factory: f,
@@ -180,6 +187,15 @@ func TestBatchSweepMatchesScalarSweep(t *testing.T) {
 					Window: 300, Lanes: lanes,
 				},
 			},
+			{
+				// No batch surface on the microarch model: the cursor
+				// engine in the batched sweep, scalar in the other.
+				Key: "ma", Group: "ma/qsort", Factory: ma,
+				Config: campaign.Config{
+					Injections: 30, Seed: 5, Target: fault.TargetRF,
+					Window: 400, Lanes: lanes, Sched: sched,
+				},
+			},
 		}
 	}
 	scalar, err := campaign.Sweep(matrix(1), campaign.SweepOptions{Workers: 3})
@@ -190,7 +206,7 @@ func TestBatchSweepMatchesScalarSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"rf", "l1d", "latches"} {
+	for _, key := range []string{"rf", "l1d", "latches", "ma"} {
 		s, b := scalar.Results[key], batch.Results[key]
 		if len(s.Outcomes) != len(b.Outcomes) {
 			t.Fatalf("%s: outcome counts differ: scalar %d, batch %d", key, len(s.Outcomes), len(b.Outcomes))
@@ -223,8 +239,11 @@ func TestBatchSweepMatchesScalarSweep(t *testing.T) {
 	if b := batch.Results["latches"]; b.BatchedRuns != 0 || b.PeeledRuns != 0 {
 		t.Errorf("latch sweep campaign reports batching: %d batched, %d peeled", b.BatchedRuns, b.PeeledRuns)
 	}
-	if batch.GoldenRuns != 1 {
-		t.Errorf("batched sweep executed %d golden runs, want 1 shared", batch.GoldenRuns)
+	if b := batch.Results["ma"]; b.BatchedRuns != 0 || b.PeeledRuns != 0 {
+		t.Errorf("microarch sweep campaign reports batching: %d batched, %d peeled", b.BatchedRuns, b.PeeledRuns)
+	}
+	if batch.GoldenRuns != 2 {
+		t.Errorf("batched sweep executed %d golden runs, want 2 (one shared per model)", batch.GoldenRuns)
 	}
 }
 

@@ -202,18 +202,6 @@ func EstimateWeightedProportion(hitW, totalW, nEff, conf float64) (Proportion, e
 	}, nil
 }
 
-// WaldHalfWidth returns the half-width of the normal-approximation
-// (Wald) interval for hits out of n at quantile z. Reported alongside
-// the Wilson width because Leveugle's sample-size formula is Wald-based,
-// so the achieved Wald margin is directly comparable to the planned one.
-func WaldHalfWidth(hits, n int, z float64) float64 {
-	if n <= 0 {
-		return 1
-	}
-	p := float64(hits) / float64(n)
-	return z * math.Sqrt(p*(1-p)/float64(n))
-}
-
 // Sequential is the incremental multinomial estimator behind the
 // campaign engine's sequential statistical stopping: outcomes stream in
 // one at a time, and the campaign may stop sampling once every class
@@ -325,22 +313,6 @@ func (s *Sequential) WilsonMargin() float64 {
 	worst := 0.0
 	for _, c := range s.classes {
 		if w := WilsonHalfWidthP(s.counts[c]/s.sumW, nEff, s.z); w > worst {
-			worst = w
-		}
-	}
-	return worst
-}
-
-// WaldMargin returns the widest Wald half-width across the universe.
-func (s *Sequential) WaldMargin() float64 {
-	if s.n == 0 {
-		return 1
-	}
-	nEff := s.EffectiveN()
-	worst := 0.0
-	for _, c := range s.classes {
-		p := s.counts[c] / s.sumW
-		if w := s.z * math.Sqrt(p*(1-p)/nEff); w > worst {
 			worst = w
 		}
 	}
